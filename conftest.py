@@ -40,3 +40,13 @@ def pytest_addoption(parser):
         metavar="MINUTES",
         help="steady-phase sim-minutes for the endurance benchmark (default: 30)",
     )
+
+
+def pytest_configure(config):
+    """Register the repo's custom markers.
+
+    ``slow`` tags the long paper-claim integration checks
+    (tests/integration/test_headline_claims.py); deselect them with
+    ``-m "not slow"`` for a quicker local run.
+    """
+    config.addinivalue_line("markers", "slow: long-running paper-claim integration checks")

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from .keccak import keccak256
 from .secp256k1 import (
     GENERATOR,
-    INFINITY,
     N,
     P,
     Point,
-    point_add,
+    double_scalar_multiply,
     recover_y,
     scalar_multiply,
 )
@@ -136,7 +135,7 @@ def verify_hash(public_key: Point, message_hash: bytes, signature: Signature) ->
         return False
     u1 = (z * s_inv) % N
     u2 = (signature.r * s_inv) % N
-    point = point_add(scalar_multiply(u1, GENERATOR), scalar_multiply(u2, public_key))
+    point = double_scalar_multiply(u1, u2, public_key)
     if point.is_infinity():
         return False
     return point.x % N == signature.r
@@ -163,11 +162,9 @@ def recover_public_key(message_hash: bytes, signature: Signature) -> Point:
     r_point = Point(r, y)
     z = int.from_bytes(message_hash, "big")
     r_inv = pow(r, -1, N)
-    # Q = r^-1 (s*R - z*G)
-    s_r = scalar_multiply(s, r_point)
-    z_g = scalar_multiply((N - z) % N, GENERATOR)
-    candidate = scalar_multiply(r_inv, point_add(s_r, z_g))
-    if candidate is INFINITY or candidate.is_infinity():
+    # Q = r^-1 (s*R - z*G) = (-z * r^-1) G + (s * r^-1) R
+    candidate = double_scalar_multiply(-z * r_inv, s * r_inv, r_point)
+    if candidate.is_infinity():
         raise SignatureError("signature recovery produced the point at infinity")
     if not verify_hash(candidate, message_hash, signature):
         raise SignatureError("recovered key does not verify the signature")

@@ -94,14 +94,16 @@ class PrivateKey:
     """A secp256k1 private key.
 
     The secret scalar is kept on a private attribute; the public key and
-    address are computed lazily and cached because address derivation is the
-    hot path when constructing thousands of workload clients.
+    address are computed on first access and kept on the instance, because
+    a signer reads its address for every message it sends.
     """
 
     def __init__(self, secret: int) -> None:
         if not (1 <= secret < N):
             raise ValueError("private key scalar out of range")
         self._secret = secret
+        self._public: PublicKey | None = None
+        self._address: Address | None = None
 
     @classmethod
     def generate(cls) -> "PrivateKey":
@@ -142,8 +144,12 @@ class PrivateKey:
     @property
     def public_key(self) -> PublicKey:
         """The corresponding public key."""
-        return self._public_key()
+        if self._public is None:
+            self._public = self._public_key()
+        return self._public
 
+    # hostbench/workloads.py resets process-global caches between units and
+    # calls ``_public_key.cache_clear()``, so this stays an lru_cache method.
     @lru_cache(maxsize=1)
     def _public_key(self) -> PublicKey:
         return PublicKey(scalar_multiply(self._secret, GENERATOR))
@@ -151,7 +157,9 @@ class PrivateKey:
     @property
     def address(self) -> Address:
         """The Ethereum-style address of this key."""
-        return self.public_key.address()
+        if self._address is None:
+            self._address = self.public_key.address()
+        return self._address
 
     def sign(self, message: bytes) -> Signature:
         """Sign keccak256(message)."""

@@ -16,7 +16,8 @@ a 65-byte signature):
   same 65 bytes.  Verification still fails for tampered payloads or wrong
   senders, so protocol-level authenticity checks remain meaningful.
 
-This substitution is documented in DESIGN.md (section "Substitutions").
+The two schemes are compared in docs/ARCHITECTURE.md (section
+"Signature schemes").
 """
 
 from __future__ import annotations

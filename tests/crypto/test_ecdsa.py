@@ -98,3 +98,52 @@ def test_many_keys_roundtrip():
         signature = sign_message(key.secret, MESSAGE)
         assert verify_message(key.public_key.point, MESSAGE, signature)
         assert recover_public_key(keccak256(MESSAGE), signature) == key.public_key.point
+
+
+# --- Forged and invalid signatures -----------------------------------------
+
+
+def _forgeries():
+    signature = sign_message(KEY.secret, MESSAGE)
+    r, s, v = signature.r, signature.s, signature.v
+    return {
+        "high-s": (r, N - s, v),
+        "wrong-v": (r, s, v ^ 1),
+        "r-not-below-N": (N + 1, s, v),
+        "s-zero": (r, 0, v),
+        "v-out-of-range": (r, s, 27),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_forgeries()))
+def test_forged_signature_fails_verify_signature(name):
+    from repro.messages.signer import verify_signature
+
+    r, s, v = _forgeries()[name]
+    wire = r.to_bytes(33, "big")[-32:] + s.to_bytes(32, "big") + bytes([v])
+    assert not verify_signature("ecdsa", KEY.address, MESSAGE, wire)
+
+
+@pytest.mark.parametrize("name", ["high-s", "wrong-v"])
+def test_forged_signature_does_not_recover_the_signer(name):
+    # Plain verification ignores v, so (r, N - s) still verifies against the
+    # key; cells authenticate by recovery, which these forgeries defeat.
+    r, s, v = _forgeries()[name]
+    try:
+        recovered = recover_public_key(keccak256(MESSAGE), Signature(r=r, s=s, v=v))
+    except SignatureError:
+        return
+    assert recovered != KEY.public_key.point
+
+
+@pytest.mark.parametrize("name", ["r-not-below-N", "s-zero", "v-out-of-range"])
+def test_out_of_range_signature_is_rejected(name):
+    r, s, v = _forgeries()[name]
+    with pytest.raises(SignatureError):
+        Signature(r=r, s=s, v=v)
+
+
+def test_recovery_rejects_r_that_is_no_curve_x_coordinate():
+    # x = 5 gives x^3 + 7 = 132, a non-residue mod P, so no point R exists.
+    with pytest.raises(ValueError):
+        recover_public_key(keccak256(MESSAGE), Signature(r=5, s=1, v=0))

@@ -87,3 +87,40 @@ def test_addresses_are_orderable_and_hashable():
     addresses = {PrivateKey.from_seed(str(i)).address for i in range(10)}
     assert len(addresses) == 10
     assert sorted(addresses)
+
+
+def test_interleaved_keys_derive_their_public_key_and_address_once(monkeypatch):
+    import repro.crypto.keys as keys
+
+    calls = {"scalar_multiply": 0, "keccak256": 0}
+
+    def counting(name):
+        real = getattr(keys, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(keys, name, counting(name))
+    first, second = PrivateKey(0x1111), PrivateKey(0x2222)
+    signatures = []
+    for _ in range(3):
+        for key in (first, second):
+            signatures.append((key.address, key.sign(b"interleaved")))
+            assert key.public_key.verify(b"interleaved", signatures[-1][1])
+    # One public-key multiplication and one address hash per key.
+    assert calls == {"scalar_multiply": 2, "keccak256": 2}
+    monkeypatch.undo()
+    for address, signature in signatures:
+        assert recover_address(b"interleaved", signature) == address
+
+
+def test_public_key_cache_clear_is_kept():
+    PrivateKey._public_key.cache_clear()
+    key = PrivateKey.from_seed("cache-clear")
+    address = key.address
+    PrivateKey._public_key.cache_clear()
+    assert key.address == address
